@@ -108,8 +108,6 @@ class CMSFeatures(PlannerFeatures):
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     #: Serve stale/partial cache answers when retries are exhausted.
     degradation: bool = True
-    #: How many remote answers the stale archive retains for degradation.
-    archive_elements: int = 64
 
     @classmethod
     def none(cls) -> "CMSFeatures":
@@ -193,11 +191,7 @@ class CacheManagementSystem:
                 remote, self.features.buffer_size, self.features.retry_policy
             )
         )
-        self._archive = (
-            StaleArchive(self.features.archive_elements)
-            if self.features.degradation
-            else None
-        )
+        self._archive = StaleArchive() if self.features.degradation else None
         self._last_degraded = False
         #: The most recent plan the planner produced for this CMS (the one
         #: actually executed, post-replan).  Purely observational: the qa

@@ -1,7 +1,7 @@
 """Local execution engines behind one interface.
 
-The Execution Monitor's combine stage and full-subsumption derivations
-are expressed against this small facade so the CMS can run either engine:
+The combine stage (:func:`combine`) and full-subsumption derivations are
+expressed against this small facade so the CMS can run either engine:
 
 * :class:`TupleEngine` — the original tuple-at-a-time operators from
   :mod:`repro.relational.operators` (the semantic reference);
@@ -23,6 +23,7 @@ the relations themselves, so both are identities there.
 
 from __future__ import annotations
 
+from repro.common.errors import PlanningError
 from repro.caql.eval import result_schema
 from repro.caql.psj import ConstProj, PSJQuery
 from repro.relational import operators
@@ -36,7 +37,7 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.core import subsumption
 
-__all__ = ["ColumnarEngine", "TupleEngine", "make_engine"]
+__all__ = ["ColumnarEngine", "TupleEngine", "combine", "make_engine"]
 
 
 class TupleEngine:
@@ -150,3 +151,72 @@ def make_engine(name: str):
     if name == "columnar":
         return ColumnarEngine()
     raise ValueError(f"unknown engine {name!r} (expected 'tuple' or 'columnar')")
+
+
+def combine(engine, parts, conditions, projection, schema: Schema, partial: bool = False):
+    """Join ``parts`` on ``conditions`` and project to ``projection``.
+
+    The one combine stage: the Execution Monitor's hybrid and degraded
+    answers and the federation's gather all run it.  Each part joins the
+    running result with the pending conditions it completes — column
+    equalities across the two sides drive the hash join, the rest ride as
+    join residuals — and conditions still pending after the last part are
+    applied as a selection.
+
+    With ``partial`` (some parts never arrived), conditions over missing
+    columns are dropped and missing projection columns come back ``None``;
+    otherwise a missing column raises.
+
+    Returns ``(result, input_rows)``: the caller charges its own clock for
+    ``input_rows + len(result)`` tuples of local work.
+    """
+    if not parts:
+        raise PlanningError("no parts produced anything to combine")
+    pending = list(conditions)
+    combined = engine.ingest(parts[0])
+    seen_cols = set(combined.schema.attributes)
+    input_rows = len(combined)
+    for relation in parts[1:]:
+        right_cols = set(relation.schema.attributes)
+        pairs, residual, remaining = [], [], []
+        for condition in pending:
+            cols = condition.columns()
+            if cols <= (seen_cols | right_cols):
+                left_side = cols & seen_cols
+                right_side = cols & right_cols
+                if (
+                    condition.op == "="
+                    and condition.is_col_col()
+                    and len(left_side) == 1
+                    and len(right_side) == 1
+                ):
+                    pairs.append((left_side.pop(), right_side.pop()))
+                else:
+                    residual.append(condition)
+            else:
+                remaining.append(condition)
+        combined = engine.join(
+            combined, engine.ingest(relation), pairs,
+            name="combine", conditions=residual,
+        )
+        seen_cols |= right_cols
+        input_rows += len(relation) + len(combined)
+        pending = remaining
+    if partial:
+        pending = [c for c in pending if c.columns() <= seen_cols]
+    if pending:
+        combined = engine.select(combined, pending)
+
+    entries = []
+    for entry in projection:
+        if isinstance(entry, ConstProj):
+            entries.append(("const", entry.value))
+        elif partial and entry not in combined.schema.attributes:
+            entries.append(("const", None))  # only a missing part had it
+        else:
+            entries.append(("col", combined.schema.position(entry)))
+    if entries:
+        result = engine.project_entries(combined, entries, schema)
+    else:
+        result = Relation(schema, [(True,)] if len(combined) else [])
+    return result, input_rows

@@ -31,20 +31,19 @@ from repro.common.metrics import (
 from repro.relational.columnar import ColumnarBatch
 from repro.relational.expressions import Comparison
 from repro.relational.generator import GeneratorRelation
-from repro.relational.operators import join, select
+from repro.relational.operators import select
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.caql.eval import result_schema
 from repro.caql.psj import ConstProj, PSJQuery
 from repro.core.cache import Cache
-from repro.core.engine import make_engine
+from repro.core.engine import combine, make_engine
 from repro.core.plan import CachePart, QueryPlan, RemotePart
-from repro.core.rdi import RemoteInterface
+from repro.core.rdi import RemoteInterface, first_distinct_values
 from repro.obs.tracer import Tracer
 from repro.core.subsumption import (
     SubsumptionMatch,
     _rename_condition,
-    derive_full,
     derive_full_lazy,
     derive_part,
 )
@@ -787,10 +786,12 @@ class ExecutionMonitor:
         bindings: dict[str, tuple[object, ...]] = {}
         applied: list[tuple[object, int]] = []  # (spec, binding source index)
         for spec in part.bind_columns:
-            found = self._extract_bindings(spec.cache_column, binding_source)
+            found = first_distinct_values(spec.cache_column, binding_source)
             if found is None:
                 continue  # source column not exposed: fall back to unbound
             source_index, values = found
+            # The extraction pass re-reads the part's rows.
+            self._charge_local(len(binding_source[source_index]))
             if not values:
                 self.tracer.event(
                     "rdi.semijoin",
@@ -816,45 +817,25 @@ class ExecutionMonitor:
         )
         return self._with_columns(relation, part.columns, "remote")
 
-    def _extract_bindings(
-        self, cache_column: str, produced: list[Relation]
-    ) -> tuple[int, tuple[object, ...]] | None:
-        """Distinct values of ``cache_column`` from the first produced cache
-        part exposing it, with that part's index (None when no part exposes
-        the column)."""
-        for index, relation in enumerate(produced):
-            if cache_column not in relation.schema.attributes:
-                continue
-            position = relation.schema.position(cache_column)
-            seen: set[object] = set()
-            values: list[object] = []
-            for row in relation:
-                value = row[position]
-                if value not in seen:
-                    seen.add(value)
-                    values.append(value)
-            # The extraction pass re-reads the part's rows.
-            self._charge_local(len(relation))
-            return index, tuple(values)
-        return None
-
     # -- graceful degradation (remote unreachable) ---------------------------------
-    def derive_degraded(self, match: SubsumptionMatch, query: PSJQuery) -> Relation:
-        """Answer ``query`` from a (possibly stale) full subsumption match.
+    def derive_degraded(self, match: SubsumptionMatch, query: PSJQuery) -> LocalResult:
+        """Answer ``query`` from a (possibly stale) full subsumption match,
+        on the selected engine.
 
         Used when retries are exhausted: the element typically lives in
         the stale archive rather than the cache proper, so no LRU
         bookkeeping applies — but the hit still saved a remote fetch, so
         the efficacy ledger is credited.
         """
-        result = derive_full(match, query)
+        result = self.engine.derive_full(match, query)
         self.cache.credit_saving(match.element)
         self._charge_local(match.element.rows_materialized() + len(result))
         self.metrics.incr(EAGER_TUPLES_PRODUCED, len(result))
         return result
 
-    def execute_degraded(self, plan: QueryPlan) -> Relation | None:
-        """Best-effort partial answer from the plan's cache parts alone.
+    def execute_degraded(self, plan: QueryPlan) -> LocalResult | None:
+        """Best-effort partial answer from the plan's cache parts alone,
+        combined on the selected engine.
 
         The remote part failed; ship what the cache can prove.  Columns
         only the remote side could have produced come back as ``None``,
@@ -873,63 +854,8 @@ class ExecutionMonitor:
             relation = self._cache_part_relation(part)
             self._charge_local(source_rows + len(relation))
             produced.append(relation)
-        result = self._combine_degraded(produced, plan)
+        result = self._combine(produced, plan, partial=True)
         self.metrics.incr(EAGER_TUPLES_PRODUCED, len(result))
-        return result
-
-    def _combine_degraded(self, parts: list[Relation], plan: QueryPlan) -> Relation:
-        """The combine stage when some columns never arrived: join the
-        available parts, drop unverifiable conditions, null out missing
-        projection columns."""
-        pending = list(plan.cross_conditions)
-        combined = parts[0]
-        seen_cols = set(combined.schema.attributes)
-        input_rows = len(combined)
-        for relation in parts[1:]:
-            right_cols = set(relation.schema.attributes)
-            pairs, residual, remaining = [], [], []
-            for condition in pending:
-                cols = condition.columns()
-                if cols <= (seen_cols | right_cols):
-                    left_side = cols & seen_cols
-                    right_side = cols & right_cols
-                    if (
-                        condition.op == "="
-                        and condition.is_col_col()
-                        and len(left_side) == 1
-                        and len(right_side) == 1
-                    ):
-                        pairs.append((left_side.pop(), right_side.pop()))
-                    else:
-                        residual.append(condition)
-                else:
-                    remaining.append(condition)
-            combined = join(combined, relation, pairs, name="combine", conditions=residual)
-            seen_cols |= right_cols
-            input_rows += len(relation) + len(combined)
-            pending = remaining
-        applicable = [c for c in pending if c.columns() <= seen_cols]
-        if applicable:
-            combined = select(combined, applicable)
-
-        schema = result_schema(plan.query.name, plan.query.arity)
-        entries: list[tuple[str, object]] = []
-        for entry in plan.query.projection:
-            if isinstance(entry, ConstProj):
-                entries.append(("const", entry.value))
-            elif entry in combined.schema.attributes:
-                entries.append(("col", combined.schema.position(entry)))
-            else:
-                entries.append(("const", None))  # the remote side had it
-        if entries:
-            rows = (
-                tuple(v if kind == "const" else row[v] for kind, v in entries)
-                for row in combined
-            )
-            result = Relation(schema, rows)
-        else:
-            result = Relation(schema, [(True,)] if len(combined) else [])
-        self._charge_local(input_rows + len(result))
         return result
 
     def _with_columns(self, relation: Relation, columns: tuple[str, ...], label: str) -> Relation:
@@ -939,53 +865,16 @@ class ExecutionMonitor:
         schema = Schema(label, columns)
         return Relation(schema, iter(relation))
 
-    def _combine(self, parts: list[Relation], plan: QueryPlan) -> LocalResult:
-        if not parts:
-            raise PlanningError("no parts produced anything to combine")
-        engine = self.engine
-        pending = list(plan.cross_conditions)
-        combined = engine.ingest(parts[0])
-        seen_cols = set(combined.schema.attributes)
-        input_rows = len(combined)
-        for relation in parts[1:]:
-            right_cols = set(relation.schema.attributes)
-            pairs, residual, remaining = [], [], []
-            for condition in pending:
-                cols = condition.columns()
-                if cols <= (seen_cols | right_cols):
-                    left_side = cols & seen_cols
-                    right_side = cols & right_cols
-                    if (
-                        condition.op == "="
-                        and condition.is_col_col()
-                        and len(left_side) == 1
-                        and len(right_side) == 1
-                    ):
-                        pairs.append((left_side.pop(), right_side.pop()))
-                    else:
-                        residual.append(condition)
-                else:
-                    remaining.append(condition)
-            combined = engine.join(
-                combined, engine.ingest(relation), pairs,
-                name="combine", conditions=residual,
-            )
-            seen_cols |= right_cols
-            input_rows += len(relation) + len(combined)
-            pending = remaining
-        if pending:
-            combined = engine.select(combined, pending)
-
-        schema = result_schema(plan.query.name, plan.query.arity)
-        entries = []
-        for entry in plan.query.projection:
-            if isinstance(entry, ConstProj):
-                entries.append(("const", entry.value))
-            else:
-                entries.append(("col", combined.schema.position(entry)))
-        if entries:
-            result = engine.project_entries(combined, entries, schema)
-        else:
-            result = Relation(schema, [(True,)] if len(combined) else [])
+    def _combine(
+        self, parts: list[Relation], plan: QueryPlan, partial: bool = False
+    ) -> LocalResult:
+        result, input_rows = combine(
+            self.engine,
+            parts,
+            plan.cross_conditions,
+            plan.query.projection,
+            result_schema(plan.query.name, plan.query.arity),
+            partial=partial,
+        )
         self._charge_local(input_rows + len(result))
         return result

@@ -27,7 +27,7 @@ from repro.core.advice_manager import AdviceManager
 from repro.core.cache import Cache
 from repro.core.canonical import canonicalize
 from repro.core.plan import BindingSpec, CachePart, PlanPart, QueryPlan, RemotePart
-from repro.core.subsumption import SubsumptionMatch, explain_candidates, find_relevant
+from repro.core.subsumption import CandidateReport, SubsumptionMatch, find_relevant
 from repro.obs.tracer import Tracer
 
 
@@ -121,9 +121,9 @@ class QueryPlanner:
         """Record the planner's full rationale on its span (tracing only).
 
         The subsumption probe is replayed with rejection recording
-        (:func:`explain_candidates`) — pure bookkeeping over an unchanged
-        cache, so it cannot perturb the plan; the cost is paid only when a
-        real tracer is attached.
+        (:func:`find_relevant` with ``reports``) — pure bookkeeping over an
+        unchanged cache, so it cannot perturb the plan; the cost is paid
+        only when a real tracer is attached.
         """
         span.set("strategy", plan.strategy)
         span.set("lazy", plan.lazy)
@@ -147,7 +147,9 @@ class QueryPlanner:
         span.set("estimated_remote_cost", plan.estimated_remote_cost)
         span.set("remote_available", self.remote_available())
         if self.features.caching and self.features.subsumption:
-            for report in explain_candidates(self.cache, query):
+            reports: list[CandidateReport] = []
+            find_relevant(self.cache, query, reports)
+            for report in reports:
                 if report.matched:
                     best = report.matches[0]
                     span.event(

@@ -10,7 +10,7 @@ The planner itself is side-effect free (it reads the cache, the advice,
 and cached statistics), so explanation is simply: normalize the query the
 same way :meth:`~repro.core.cms.CacheManagementSystem.query` would, plan
 it, and replay the subsumption probe with rejection recording
-(:func:`~repro.core.subsumption.explain_candidates`).
+(:func:`~repro.core.subsumption.find_relevant` with ``reports``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.caql.ast import (
 from repro.caql.eval import core_plan
 from repro.caql.psj import psj_from_literals
 from repro.core.plan import CachePart
-from repro.core.subsumption import CandidateReport, explain_candidates
+from repro.core.subsumption import CandidateReport, find_relevant
 
 
 @dataclass(frozen=True)
@@ -153,10 +153,9 @@ def explain_query(cms, q: CAQLQuery) -> PlanExplanation:
         )
 
     plan = cms.planner.plan(psj)
+    reports: list[CandidateReport] = []
     if cms.features.caching and cms.features.subsumption:
-        candidates = tuple(explain_candidates(cms.cache, psj))
-    else:
-        candidates = ()
+        find_relevant(cms.cache, psj, reports)
 
     parts = tuple(
         f"cache:{p.match.element.element_id}"
@@ -194,7 +193,7 @@ def explain_query(cms, q: CAQLQuery) -> PlanExplanation:
         prefetches=tuple(p.name for p in plan.prefetches),
         estimated_local_cost=plan.estimated_local_cost,
         estimated_remote_cost=plan.estimated_remote_cost,
-        candidates=candidates,
+        candidates=tuple(reports),
         epoch=plan.epoch,
         element_efficacy=tuple(efficacy),
     )

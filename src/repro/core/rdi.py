@@ -85,6 +85,23 @@ def canonical_bindings(
     return out
 
 
+def first_distinct_values(
+    column: str, relations: list[Relation]
+) -> tuple[int, tuple[object, ...]] | None:
+    """The semijoin value scan: distinct values of ``column``, in
+    first-occurrence order, from the first relation exposing it, with that
+    relation's index (None when no relation exposes the column).
+
+    The scan re-reads that relation's rows; callers charge it to their own
+    clock.
+    """
+    for index, relation in enumerate(relations):
+        if column in relation.schema.attributes:
+            position = relation.schema.position(column)
+            return index, tuple(dict.fromkeys(row[position] for row in relation))
+    return None
+
+
 class RemoteInterface:
     """Translates PSJ queries to DML, executes them resiliently, rebuilds
     results."""

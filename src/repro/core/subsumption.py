@@ -259,32 +259,6 @@ def match_element(
         )
 
 
-def find_relevant(cache: Cache, query: PSJQuery) -> list[SubsumptionMatch]:
-    """All subsumption matches from the cache for ``query``.
-
-    This is the set of relevant elements R(E_i) of Q (Section 5.3.2); the
-    planner chooses among them.  Candidates are prefiltered through the
-    cache's predicate index, full matches first, larger coverage first.
-    """
-    query_preds = set(query.predicates())
-    seen: set[str] = set()
-    matches: list[SubsumptionMatch] = []
-    # Walk predicates in query order, not set order: the sort below is
-    # stable, so ties between matches keep visit order, and visit order
-    # must not depend on per-process string hashing.
-    for pred in dict.fromkeys(query.predicates()):
-        for element in cache.elements_for_predicate(pred):
-            if element.element_id in seen:
-                continue
-            seen.add(element.element_id)
-            # Quick reject: every element predicate must appear in the query.
-            if not set(element.definition.predicates()) <= query_preds:
-                continue
-            matches.extend(match_element(element, query))
-    matches.sort(key=lambda m: (not m.is_full, -len(m.covered_tags), len(m.residual_conditions)))
-    return matches
-
-
 @dataclass(frozen=True)
 class CandidateReport:
     """Why one cache element did (or did not) subsume part of a query."""
@@ -300,50 +274,61 @@ class CandidateReport:
         return bool(self.matches)
 
 
-def explain_candidates(cache: Cache, query: PSJQuery) -> list[CandidateReport]:
-    """The subsumption probe with its working shown.
+def find_relevant(
+    cache: Cache,
+    query: PSJQuery,
+    reports: list[CandidateReport] | None = None,
+) -> list[SubsumptionMatch]:
+    """All subsumption matches from the cache for ``query``.
 
-    Walks the same predicate-index candidate set as :func:`find_relevant`
-    but records, for every candidate element, either its matches or the
-    reason each occurrence mapping was rejected.  This is the rationale
-    behind ``cms.explain`` and the planner's subsumption trace events; the
-    plain query path keeps using :func:`find_relevant`, which pays none of
-    this bookkeeping.
+    This is the set of relevant elements R(E_i) of Q (Section 5.3.2); the
+    planner chooses among them.  Candidates are prefiltered through the
+    cache's predicate index, full matches first, larger coverage first.
+
+    When ``reports`` is given, the walk also appends one
+    :class:`CandidateReport` per candidate element — its matches, or why
+    each occurrence mapping was rejected — matched first, then by element
+    id.  This is the rationale behind ``cms.explain`` and the planner's
+    subsumption trace events; the matches returned are the same either way.
     """
     query_preds = set(query.predicates())
     seen: set[str] = set()
-    reports: list[CandidateReport] = []
-    for pred in sorted(query_preds):
+    matches: list[SubsumptionMatch] = []
+    found: list[CandidateReport] = []
+    # Walk predicates in query order, not set order: the sort below is
+    # stable, so ties between matches keep visit order, and visit order
+    # must not depend on per-process string hashing.
+    for pred in dict.fromkeys(query.predicates()):
         for element in cache.elements_for_predicate(pred):
             if element.element_id in seen:
                 continue
             seen.add(element.element_id)
+            # Quick reject: every element predicate must appear in the query.
             extra = set(element.definition.predicates()) - query_preds
-            if extra:
-                reports.append(
+            reasons: list[str] | None = None if reports is None else []
+            element_matches: tuple[SubsumptionMatch, ...] = ()
+            if not extra:
+                element_matches = tuple(match_element(element, query, reasons=reasons))
+                matches.extend(element_matches)
+            elif reasons is not None:
+                reasons.append(
+                    "element mentions predicate(s) absent from the "
+                    f"query: {', '.join(sorted(extra))}"
+                )
+            if reasons is not None:
+                found.append(
                     CandidateReport(
                         element_id=element.element_id,
                         view_name=element.definition.name,
-                        matches=(),
-                        rejections=(
-                            "element mentions predicate(s) absent from the "
-                            f"query: {', '.join(sorted(extra))}",
-                        ),
+                        matches=element_matches,
+                        rejections=tuple(reasons),
                     )
                 )
-                continue
-            reasons: list[str] = []
-            matches = tuple(match_element(element, query, reasons=reasons))
-            reports.append(
-                CandidateReport(
-                    element_id=element.element_id,
-                    view_name=element.definition.name,
-                    matches=matches,
-                    rejections=tuple(reasons),
-                )
-            )
-    reports.sort(key=lambda r: (not r.matched, r.element_id))
-    return reports
+    matches.sort(key=lambda m: (not m.is_full, -len(m.covered_tags), len(m.residual_conditions)))
+    found.sort(key=lambda r: (not r.matched, r.element_id))
+    if reports is not None:
+        reports.extend(found)
+    return matches
 
 
 # ---------------------------------------------------------------------------

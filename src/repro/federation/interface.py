@@ -17,7 +17,7 @@ backends is **scatter-gathered**:
    wire deterministic,
 4. short-circuit the remaining round trips when any part (or binding set)
    comes back empty — a conjunctive join with an empty input is empty,
-5. join the parts locally (the executor's combine idiom) and project.
+5. join the parts locally (the CMS's shared combine stage) and project.
 
 Each per-backend link is a full :class:`~repro.core.rdi.RemoteInterface`,
 so retries, timeouts, and circuit breaking happen per backend; one dark
@@ -34,13 +34,13 @@ from dataclasses import dataclass
 from repro.common.clock import CostProfile, SimClock
 from repro.common.errors import RemoteDBMSError, UnknownRelationError
 from repro.common.metrics import CACHE_TUPLES_PROCESSED, Metrics
-from repro.relational.operators import join, select
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.statistics import RelationStatistics
 from repro.caql.eval import result_schema
 from repro.caql.psj import ConstProj, PSJQuery, parse_column
-from repro.core.rdi import RemoteInterface, canonical_bindings
+from repro.core.engine import TupleEngine, combine
+from repro.core.rdi import RemoteInterface, canonical_bindings, first_distinct_values
 from repro.remote.faults import RetryPolicy
 from repro.federation.catalog import FederatedCatalog
 
@@ -374,6 +374,7 @@ class FederatedInterface:
             if tag in part.tags:
                 out[column] = values
         if self.semijoin:
+            relations = [relation for _part, relation in fetched]
             for condition in psj.conditions:
                 if condition.op != "=" or not condition.is_col_col():
                     continue
@@ -383,9 +384,12 @@ class FederatedInterface:
                 if left_in == right_in:
                     continue
                 inside, outside = (left, right) if left_in else (right, left)
-                values = self._column_values(outside, fetched)
-                if values is None:
+                found = first_distinct_values(outside, relations)
+                if found is None:
                     continue
+                source_index, values = found
+                # The extraction pass re-reads the part's rows.
+                self._charge_local(len(relations[source_index]))
                 if inside in out:
                     existing = set(out[inside])
                     values = tuple(v for v in values if v in existing)
@@ -394,25 +398,6 @@ class FederatedInterface:
             if not values:
                 return None
         return out
-
-    def _column_values(
-        self, column: str, fetched: list[tuple[FederatedPart, Relation]]
-    ) -> tuple[object, ...] | None:
-        """Distinct values of a qualified column across fetched parts."""
-        for _part, relation in fetched:
-            if column not in relation.schema.attributes:
-                continue
-            position = relation.schema.position(column)
-            seen: set[object] = set()
-            values: list[object] = []
-            for row in relation:
-                value = row[position]
-                if value not in seen:
-                    seen.add(value)
-                    values.append(value)
-            self._charge_local(len(relation))  # the extraction re-read
-            return tuple(values)
-        return None
 
     def _labeled(self, part: FederatedPart, relation: Relation) -> Relation:
         """Expose a part's positional result under qualified column names."""
@@ -433,8 +418,9 @@ class FederatedInterface:
         partial: bool = False,
     ) -> Relation:
         """Join the gathered parts locally and project to the query shape
-        (the executor's combine idiom: equality pairs drive hash joins,
-        other cross conditions ride as residuals).
+        (the shared combine stage, :func:`repro.core.engine.combine`, on the
+        tuple engine).  Existence-only parts take no part in the join: a
+        failed one empties the result.
 
         With ``partial`` (some backends were dark), conditions touching
         columns that never arrived are dropped and those projection
@@ -463,62 +449,11 @@ class FederatedInterface:
                 row = (True,)
             return Relation(schema, [row])
 
-        combined = value_parts[0]
-        seen_cols = set(combined.schema.attributes)
-        input_rows = len(combined)
-        for relation in value_parts[1:]:
-            right_cols = set(relation.schema.attributes)
-            pairs, residual, remaining = [], [], []
-            for condition in pending:
-                cols = condition.columns()
-                if cols <= (seen_cols | right_cols):
-                    left_side = cols & seen_cols
-                    right_side = cols & right_cols
-                    if (
-                        condition.op == "="
-                        and condition.is_col_col()
-                        and len(left_side) == 1
-                        and len(right_side) == 1
-                    ):
-                        pairs.append((left_side.pop(), right_side.pop()))
-                    else:
-                        residual.append(condition)
-                else:
-                    remaining.append(condition)
-            combined = join(
-                combined, relation, pairs, name="gather", conditions=residual
-            )
-            seen_cols |= right_cols
-            input_rows += len(relation) + len(combined)
-            pending = remaining
-        if pending:
-            # In a full gather every pending condition is applicable (its
-            # columns are needed columns of some part); in a partial one,
-            # conditions touching a dark backend's columns are dropped.
-            applicable = [c for c in pending if c.columns() <= seen_cols]
-            if applicable:
-                combined = select(combined, applicable)
-
-        entries: list[tuple[str, object]] = []
-        for entry in psj.projection:
-            if isinstance(entry, ConstProj):
-                entries.append(("const", entry.value))
-            elif not partial or entry in combined.schema.attributes:
-                entries.append(("col", combined.schema.position(entry)))
-            else:
-                entries.append(("const", None))  # a dark backend owned it
-        if entries:
-            rows = (
-                tuple(v if kind == "const" else row[v] for kind, v in entries)
-                for row in combined
-            )
-            result = (
-                Relation(schema, rows) if exists_ok else Relation(schema, [])
-            )
-        else:
-            result = Relation(
-                schema, [(True,)] if (len(combined) and exists_ok) else []
-            )
+        result, input_rows = combine(
+            TupleEngine(), value_parts, pending, psj.projection, schema, partial
+        )
+        if not exists_ok:
+            result = Relation(schema, [])
         self._charge_local(input_rows + len(result))
         return result
 

@@ -9,9 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.relational.relation import Relation
+from repro.remote.server import RemoteDBMS
 from repro.caql.eval import evaluate_psj, psj_of, result_schema
 from repro.caql.parser import parse_query
 from repro.core.cache import Cache
+from repro.core.cms import CacheManagementSystem
 from repro.core.subsumption import (
     derive_full,
     derive_full_lazy,
@@ -249,6 +251,73 @@ class TestFindRelevant:
         cache, _ = cache_with("j(X, Z, C, Y) :- b2(X, Z), b3(Z, C, Y)")
         query = make_psj("q(X, Z) :- b2(X, Z)")
         assert find_relevant(cache, query) == []
+
+
+class TestCandidateReports:
+    """``find_relevant(..., reports=)``: the same walk, with its working shown."""
+
+    QUERY = "d2(X) :- b2(X, Z), b3(Z, c2, c6)"
+
+    def make_cache(self):
+        cache = Cache()
+        texts = [
+            "e12(X, Y) :- b3(X, c2, Y)",  # partial match
+            "whole(X, Z) :- b2(X, Z), b3(Z, c2, c6)",  # full match
+            "narrow(X, Z) :- b2(X, Z), X < 1",  # more restrictive: rejected
+            "ext(X) :- b2(X, Z), b9(Z, W)",  # b9 absent from the query
+            "other(X) :- b9(X, Y)",  # shares no predicate: no candidate
+        ]
+        elements = {}
+        for text in texts:
+            psj = make_psj(text)
+            empty = Relation(result_schema(psj.name, psj.arity))
+            elements[psj.name] = cache.store(psj, empty)
+        return cache, elements
+
+    def test_reports_leave_the_matches_unchanged(self):
+        cache, _ = self.make_cache()
+        query = make_psj(self.QUERY)
+        reports = []
+        assert find_relevant(cache, query, reports) == find_relevant(cache, query)
+        assert reports
+
+    def test_every_candidate_reported_once_matched_first_then_by_id(self):
+        cache, elements = self.make_cache()
+        reports = []
+        find_relevant(cache, make_psj(self.QUERY), reports)
+        ids = [r.element_id for r in reports]
+        candidates = [e.element_id for name, e in elements.items() if name != "other"]
+        assert sorted(ids) == sorted(candidates)
+        assert len(set(ids)) == len(ids)
+        assert reports == sorted(reports, key=lambda r: (not r.matched, r.element_id))
+        matched = {r.view_name for r in reports if r.matched}
+        assert matched == {"e12", "whole"}
+        for report in reports:
+            assert report.matched != bool(report.rejections)
+
+    def test_element_over_an_absent_predicate_says_so(self):
+        cache, elements = self.make_cache()
+        reports = []
+        find_relevant(cache, make_psj(self.QUERY), reports)
+        (ext,) = [r for r in reports if r.element_id == elements["ext"].element_id]
+        assert ext.matches == ()
+        assert ext.rejections == (
+            "element mentions predicate(s) absent from the query: b9",
+        )
+
+    def test_cms_explain_lists_the_reports(self):
+        server = RemoteDBMS()
+        for relation in DB.values():
+            server.load_table(relation)
+        cms = CacheManagementSystem(server)
+        cms.begin_session()
+        for text in ("e12(X, Y) :- b3(X, c2, Y)", "narrow(X, Z) :- b2(X, Z), X < 1"):
+            cms.query(parse_query(text)).fetch_all()
+        explanation = cms.explain(parse_query(self.QUERY))
+        reports = []
+        find_relevant(cms.cache, make_psj(self.QUERY), reports)
+        assert len(reports) >= 2
+        assert explanation.candidates == tuple(reports)
 
 
 class TestLazyDerivation:

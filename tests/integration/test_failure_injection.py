@@ -14,7 +14,9 @@ from repro.common.errors import (
     UnknownRelationError,
 )
 from repro.caql.parser import parse_query
+from repro.common.metrics import CACHE_TUPLES_PROCESSED
 from repro.core.cms import CacheManagementSystem, CMSFeatures
+from repro.relational.columnar import ColumnarBatch
 from repro.relational.relation import relation_from_columns
 from repro.remote.faults import FaultPolicy, RetryPolicy
 from repro.remote.server import RemoteDBMS
@@ -226,6 +228,63 @@ class TestDegradedFallback:
         )
         assert stream.fetch_all() == [(3,)]
         assert stream.degraded
+
+
+class TestDegradedOnTheSelectedEngine:
+    """Degraded answers run on the CMS's selected engine: the tuple and the
+    columnar engine give the same rows, the same ``degraded`` tag and the
+    same local work (tuples processed, which the clock rates per engine)."""
+
+    def stale_archive(self, columnar):
+        cms, server = make_cms(
+            features=CMSFeatures(
+                caching=False,
+                columnar=columnar,
+                retry_policy=RetryPolicy(max_retries=1),
+            )
+        )
+        cms.query(parse_query("q(A, B) :- t(A, B)")).fetch_all()
+        server.set_fault_policy(OUTAGE)
+        return cms, parse_query("p(B) :- t(2, B)")
+
+    def partial_cache_part(self, columnar):
+        # The hybrid split of TestDegradedFallback: cached t, remote s.
+        server = RemoteDBMS()
+        server.load_table(
+            relation_from_columns(
+                "t", a=list(range(200)), b=[4 + i % 2 for i in range(200)]
+            )
+        )
+        server.load_table(relation_from_columns("s", b=[4, 5], c=[7, 8]))
+        cms = CacheManagementSystem(
+            server,
+            features=CMSFeatures(
+                columnar=columnar, retry_policy=RetryPolicy(max_retries=1)
+            ),
+        )
+        cms.begin_session()
+        cms.query(parse_query("q1(A, B) :- t(A, B)")).fetch_all()
+        server.set_fault_policy(OUTAGE)
+        return cms, parse_query("q2(A, C) :- t(A, B), s(B, C)")
+
+    @pytest.mark.parametrize("case", ["stale_archive", "partial_cache_part"])
+    def test_engines_agree(self, case):
+        outcomes = []
+        for columnar in (False, True):
+            cms, query = getattr(self, case)(columnar)
+            before = cms.metrics.get(CACHE_TUPLES_PROCESSED)
+            stream = cms.query(query)
+            assert isinstance(stream._relation, ColumnarBatch) == columnar
+            outcomes.append(
+                (
+                    sorted(stream.fetch_all(), key=repr),
+                    stream.degraded,
+                    cms.metrics.get(CACHE_TUPLES_PROCESSED) - before,
+                )
+            )
+        assert outcomes[0] == outcomes[1]
+        rows, degraded, local_tuples = outcomes[0]
+        assert rows and degraded and local_tuples > 0
 
 
 class TestFaultedWorkload:
