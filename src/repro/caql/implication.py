@@ -142,6 +142,7 @@ class ConditionSet:
                     info.tighten_lower(value, strict=False)
             elif isinstance(left, Col) and isinstance(right, Col) and op != "=":
                 self._general.append(condition)
+        self._satisfiable = not any(i.is_unsatisfiable() for i in self._classes.values())
 
     def _class_info(self, col: str) -> _ClassInfo:
         root = self._find(col)
@@ -178,12 +179,12 @@ class ConditionSet:
 
     def is_satisfiable(self) -> bool:
         """A cheap (sound, incomplete) satisfiability check."""
-        return not any(info.is_unsatisfiable() for info in self._classes.values())
+        return self._satisfiable
 
     def implies(self, condition: Comparison) -> bool:
         """True only if every assignment satisfying this set satisfies
         ``condition``.  (An unsatisfiable set implies everything.)"""
-        if not self.is_satisfiable():
+        if not self._satisfiable:
             return True
         condition = condition.normalized()
         left, op, right = condition.left, condition.op, condition.right

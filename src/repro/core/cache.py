@@ -17,7 +17,7 @@ CMS decides whether one stored instance can serve them all.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,11 +34,15 @@ from repro.common.metrics import (
 from repro.relational.generator import GeneratorRelation
 from repro.relational.index import IndexSet
 from repro.relational.relation import Relation
-from repro.caql.psj import PSJQuery
+from repro.caql.implication import ConditionSet
+from repro.caql.psj import PSJQuery, column
 from repro.core.canonical import canonical_key
 
 #: Scores an element's eviction priority; higher = evict sooner.
 EvictionScorer = Callable[["CacheElement"], float]
+
+#: A pinned position ``(predicate, argument position, constant)``.
+Pin = tuple[str, int, object]
 
 #: Half-life, in simulated seconds, of the observed-reuse signal: an
 #: element's hit frequency halves for every such interval it sits idle.
@@ -194,6 +198,53 @@ def lru_scorer(element: CacheElement) -> float:
     return -float(element.sequence)
 
 
+def pins_of(
+    definition: PSJQuery, conditions: ConditionSet | None = None
+) -> tuple[Pin, ...]:
+    """Every ``(predicate, position, value)`` the definition's conditions
+    force, in occurrence order, without repeats; ``()`` when the cheap
+    check finds them unsatisfiable.
+
+    A pin counts whatever :meth:`ConditionSet.pinned_value` sees: a
+    literal equality, one reached through column equalities, or a closed
+    ``[v, v]`` range.  Values key by Python equality, as ``holds(..., "=",
+    ...)`` compares them (``1``, ``1.0`` and ``True`` share a key).
+    ``conditions`` may supply the definition's digested condition set."""
+    if conditions is None:
+        conditions = ConditionSet(definition.conditions)
+    if not conditions.is_satisfiable():
+        return ()
+    pins: dict[Pin, None] = {}
+    for occ in definition.occurrences:
+        for position in range(occ.arity):
+            pinned, value = conditions.pinned_value(column(occ.tag, position))
+            if pinned:
+                pins[(occ.pred, position, value)] = None
+    return tuple(pins)
+
+
+@dataclass(frozen=True)
+class _ProbeEntry:
+    """One element's entry in the cache's candidate index."""
+
+    #: The bucket the element is filed under: its first pin, or
+    #: ``("", first predicate)`` when it pins nothing.
+    anchor: tuple
+    pins: tuple[Pin, ...]
+    signature: Counter
+
+    @classmethod
+    def of(cls, definition: PSJQuery) -> "_ProbeEntry":
+        pins = pins_of(definition)
+        anchor = pins[0] if pins else ("", definition.occurrences[0].pred)
+        return cls(anchor, pins, _signature(definition))
+
+
+def _signature(definition: PSJQuery) -> Counter:
+    """``(predicate, arity)`` -> occurrences, over the definition."""
+    return Counter((occ.pred, occ.arity) for occ in definition.occurrences)
+
+
 def key_of(definition: PSJQuery) -> tuple:
     """The canonical identity the cache and the MQO registry share.
 
@@ -246,6 +297,11 @@ class Cache:
         #: process and leaks into planner tie-breaks among equal
         #: subsumption matches (same seed, different bytes across runs).
         self._by_predicate: dict[str, dict[str, None]] = {}
+        #: Candidate index (see :meth:`pinned_candidates`): each element
+        #: with occurrences has a probe entry and sits in the bucket of its
+        #: entry's anchor.
+        self._probe: dict[str, _ProbeEntry] = {}
+        self._by_anchor: dict[tuple, dict[str, None]] = {}
         self._by_key: dict[tuple, str] = {}
         #: Derivation DAG, parent id -> child ids in insertion order (an
         #: inner dict, not a set, for the same determinism reason as the
@@ -308,6 +364,8 @@ class Cache:
                 # expressions track).  Lineage is kept.
                 element.kind = "view"
                 element.definition = definition
+                self._unindex_probe(element.element_id)
+                self._index_probe(element)
             if element.derivation_seconds <= 0.0:
                 element.derivation_seconds = max(derivation_seconds, 0.0)
             if use:
@@ -350,6 +408,7 @@ class Cache:
         self._by_key[key] = element.element_id
         for pred in dict.fromkeys(definition.predicates()):
             self._by_predicate.setdefault(pred, {})[element.element_id] = None
+        self._index_probe(element)
         for parent_id in element.parents:
             self._children.setdefault(parent_id, {})[element.element_id] = None
         if kind == "intermediate" and self.metrics is not None:
@@ -375,6 +434,7 @@ class Cache:
                 members.pop(element_id, None)
                 if not members:
                     del self._by_predicate[pred]
+        self._unindex_probe(element_id)
         # Prune the derivation DAG: the element's own fan-out entry, and
         # its slot in each live parent's children list.  Children keep a
         # stale id in ``parents`` (harmless: every walk checks liveness).
@@ -392,6 +452,22 @@ class Cache:
                 self.metrics.incr(CACHE_PIN_DEFERRALS)
         else:
             self.reclaim_count += 1
+
+    def _index_probe(self, element: CacheElement) -> None:
+        if not element.definition.occurrences:
+            return  # matches nothing: never a candidate
+        entry = _ProbeEntry.of(element.definition)
+        self._probe[element.element_id] = entry
+        self._by_anchor.setdefault(entry.anchor, {})[element.element_id] = None
+
+    def _unindex_probe(self, element_id: str) -> None:
+        entry = self._probe.pop(element_id, None)
+        if entry is None:
+            return
+        members = self._by_anchor[entry.anchor]
+        members.pop(element_id, None)
+        if not members:
+            del self._by_anchor[entry.anchor]
 
     # -- concurrency control ------------------------------------------------------
     def pin(self, element: CacheElement) -> None:
@@ -595,6 +671,56 @@ class Cache:
         ids = self._by_predicate.get(pred, ())
         return [self._elements[i] for i in ids]
 
+    def predicate_candidates(self, query: PSJQuery) -> list[CacheElement]:
+        """Every element sharing a predicate with ``query``, each once.
+
+        The order is the walk's: by the query's predicates in query order,
+        then by element-creation order within each predicate."""
+        seen: dict[str, CacheElement] = {}
+        for pred in dict.fromkeys(query.predicates()):
+            for element in self.elements_for_predicate(pred):
+                seen.setdefault(element.element_id, element)
+        return list(seen.values())
+
+    def pinned_candidates(
+        self, query: PSJQuery, conditions: ConditionSet
+    ) -> list[CacheElement]:
+        """The :meth:`predicate_candidates` that can still subsume part of
+        ``query``, in the same order; ``conditions`` digests the query's.
+
+        An element condition holds under a query only if the query implies
+        it, and a query column that is not pinned implies no ``col = v``.
+        So when ``conditions`` is satisfiable, an element can match only
+        if every pin it has is also a query pin; it must also use only the
+        query's predicates, and no ``(predicate, arity)`` more often than
+        the query.  Each element sits under one anchor, so the lookup
+        visits the buckets of the query's pins and of the pinless
+        elements of its predicates, nothing else.  An unsatisfiable
+        ``conditions`` implies everything: the caller must then walk
+        :meth:`predicate_candidates`."""
+        query_pins = dict.fromkeys(pins_of(query, conditions))
+        signature = _signature(query)
+        rank: dict[str, int] = {}
+        for pred in query.predicates():
+            rank.setdefault(pred, len(rank))
+        anchors = list(query_pins) + [("", pred) for pred in rank]
+        ranked: list[tuple[int, int, CacheElement]] = []
+        for anchor in anchors:
+            for element_id in self._by_anchor.get(anchor, ()):
+                entry = self._probe[element_id]
+                if not all(pin in query_pins for pin in entry.pins):
+                    continue
+                if not all(
+                    signature[key] >= count for key, count in entry.signature.items()
+                ):
+                    continue  # also rejects a predicate absent from the query
+                first = min(rank[pred] for pred, _arity in entry.signature)
+                ranked.append(
+                    (first, self._numeric_id(element_id), self._elements[element_id])
+                )
+        ranked.sort(key=lambda item: item[:2])
+        return [element for _first, _id, element in ranked]
+
     def elements(self) -> list[CacheElement]:
         """All elements (unordered snapshot)."""
         return list(self._elements.values())
@@ -700,8 +826,10 @@ class Cache:
 
         Raises :class:`~repro.common.errors.InvariantViolation` when any
         structural property the implementation must maintain is broken:
-        the definition-key bijection, the predicate index, refcount sanity,
-        and the disjointness/reachability rules for the condemned set.
+        the definition-key bijection, the predicate index, the candidate
+        index (each entry recomputed from the element's current definition),
+        refcount sanity, and the disjointness/reachability rules for the
+        condemned set.
         Called from tests and after every fuzzer query.
         """
         from repro.common.errors import InvariantViolation
@@ -777,6 +905,18 @@ class Cache:
                     raise InvariantViolation(
                         f"{element_id} missing from predicate index for {pred!r}"
                     )
+            if element.definition.occurrences:
+                entry = self._probe.get(element_id)
+                if entry != _ProbeEntry.of(element.definition):
+                    raise InvariantViolation(
+                        f"{element_id}: candidate-index entry {entry} does not "
+                        "match its definition"
+                    )
+                if element_id not in self._by_anchor.get(entry.anchor, ()):
+                    raise InvariantViolation(
+                        f"{element_id} is not reachable through its anchor "
+                        f"bucket {entry.anchor!r}"
+                    )
         if len(self._by_key) != len(self._elements):
             raise InvariantViolation(
                 f"key index has {len(self._by_key)} entries for "
@@ -790,6 +930,21 @@ class Cache:
                     raise InvariantViolation(
                         f"predicate index for {pred!r} references retired "
                         f"element {element_id}"
+                    )
+        for element_id in self._probe:
+            if element_id not in self._elements:
+                raise InvariantViolation(
+                    f"candidate index keeps retired element {element_id}"
+                )
+        for anchor, members in self._by_anchor.items():
+            if not members:
+                raise InvariantViolation(f"empty anchor bucket {anchor!r}")
+            for element_id in members:
+                entry = self._probe.get(element_id)
+                if entry is None or entry.anchor != anchor:
+                    raise InvariantViolation(
+                        f"anchor bucket {anchor!r} references {element_id}, "
+                        "which is retired or filed elsewhere"
                     )
         for parent_id, members in self._children.items():
             if parent_id not in self._elements:
@@ -831,6 +986,8 @@ class Cache:
         self._elements.clear()
         self._condemned.clear()
         self._by_predicate.clear()
+        self._probe.clear()
+        self._by_anchor.clear()
         self._by_key.clear()
         self._children.clear()
         self.epoch += 1

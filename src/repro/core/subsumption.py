@@ -9,10 +9,18 @@ E's stored rows.
 The algorithm follows the paper's two steps, strengthened with the
 range-condition implication engine:
 
-1. **Candidate filtering** through the ``(predicate name, cache element)``
-   index, with one-directional matching: every occurrence in E's
-   definition must map (injectively, same predicate and arity) onto an
-   occurrence of Q.
+1. **Candidate filtering**, with one-directional matching: every
+   occurrence in E's definition must map (injectively, same predicate and
+   arity) onto an occurrence of Q.  The paper filters through a
+   ``(predicate name, cache element)`` index; here the cache's candidate
+   index also keys each element by its pinned positions
+   ``(predicate, position, value)`` (:meth:`Cache.pinned_candidates`).
+   Step 2 needs Q to imply every condition of E, and Q implies
+   ``col = v`` only where it pins that column, so an element pinning a
+   position Q does not pin to the same value is never probed.  An
+   unsatisfiable Q implies everything and walks the predicate index
+   instead, as does an explaining walk (``reports``), which must account
+   for every element sharing a predicate with Q.
 2. **Condition checking**: under that occurrence mapping, every condition
    of E must be implied by Q's conditions (E is no more restrictive than
    Q), and every condition of Q over the covered occurrences must be
@@ -125,6 +133,7 @@ def match_element(
     element: CacheElement,
     query: PSJQuery,
     reasons: list[str] | None = None,
+    query_conditions: ConditionSet | None = None,
 ) -> Iterator[SubsumptionMatch]:
     """All ways ``element`` can derive a component of ``query``.
 
@@ -132,13 +141,16 @@ def match_element(
     human-readable rejection reason to it — the raw material for
     ``explain``-style subsumption rationale.  The match search itself is
     unchanged (and pays nothing) when ``reasons`` is None.
+    ``query_conditions`` may supply ``ConditionSet(query.conditions)``, so
+    a walk over many elements digests the query once.
     """
     element_def = element.definition
     if not element_def.occurrences:
         if reasons is not None:
             reasons.append("element definition has no relation occurrences")
         return
-    query_conditions = ConditionSet(query.conditions)
+    if query_conditions is None:
+        query_conditions = ConditionSet(query.conditions)
 
     found_assignment = False
     for tag_map in _assignments(element_def, query):
@@ -282,48 +294,54 @@ def find_relevant(
     """All subsumption matches from the cache for ``query``.
 
     This is the set of relevant elements R(E_i) of Q (Section 5.3.2); the
-    planner chooses among them.  Candidates are prefiltered through the
-    cache's predicate index, full matches first, larger coverage first.
+    planner chooses among them.  Candidates come from the cache's
+    candidate index (:meth:`Cache.pinned_candidates`), full matches first,
+    larger coverage first.
 
-    When ``reports`` is given, the walk also appends one
-    :class:`CandidateReport` per candidate element — its matches, or why
-    each occurrence mapping was rejected — matched first, then by element
-    id.  This is the rationale behind ``cms.explain`` and the planner's
+    When ``reports`` is given, the walk visits every element sharing a
+    predicate with the query instead, and appends one
+    :class:`CandidateReport` per such element — its matches, or why each
+    occurrence mapping was rejected — matched first, then by element id.
+    This is the rationale behind ``cms.explain`` and the planner's
     subsumption trace events; the matches returned are the same either way.
     """
+    query_conditions = ConditionSet(query.conditions)
+    # Both walks visit candidates in the same order (see
+    # Cache.predicate_candidates): the sort below is stable, so ties
+    # between matches keep visit order.
+    if reports is None and query_conditions.is_satisfiable():
+        candidates = cache.pinned_candidates(query, query_conditions)
+    else:
+        candidates = cache.predicate_candidates(query)
     query_preds = set(query.predicates())
-    seen: set[str] = set()
     matches: list[SubsumptionMatch] = []
     found: list[CandidateReport] = []
-    # Walk predicates in query order, not set order: the sort below is
-    # stable, so ties between matches keep visit order, and visit order
-    # must not depend on per-process string hashing.
-    for pred in dict.fromkeys(query.predicates()):
-        for element in cache.elements_for_predicate(pred):
-            if element.element_id in seen:
-                continue
-            seen.add(element.element_id)
-            # Quick reject: every element predicate must appear in the query.
-            extra = set(element.definition.predicates()) - query_preds
-            reasons: list[str] | None = None if reports is None else []
-            element_matches: tuple[SubsumptionMatch, ...] = ()
-            if not extra:
-                element_matches = tuple(match_element(element, query, reasons=reasons))
-                matches.extend(element_matches)
-            elif reasons is not None:
-                reasons.append(
-                    "element mentions predicate(s) absent from the "
-                    f"query: {', '.join(sorted(extra))}"
+    for element in candidates:
+        # Quick reject: every element predicate must appear in the query.
+        extra = set(element.definition.predicates()) - query_preds
+        reasons: list[str] | None = None if reports is None else []
+        element_matches: tuple[SubsumptionMatch, ...] = ()
+        if not extra:
+            element_matches = tuple(
+                match_element(
+                    element, query, reasons=reasons, query_conditions=query_conditions
                 )
-            if reasons is not None:
-                found.append(
-                    CandidateReport(
-                        element_id=element.element_id,
-                        view_name=element.definition.name,
-                        matches=element_matches,
-                        rejections=tuple(reasons),
-                    )
+            )
+            matches.extend(element_matches)
+        elif reasons is not None:
+            reasons.append(
+                "element mentions predicate(s) absent from the "
+                f"query: {', '.join(sorted(extra))}"
+            )
+        if reasons is not None:
+            found.append(
+                CandidateReport(
+                    element_id=element.element_id,
+                    view_name=element.definition.name,
+                    matches=element_matches,
+                    rejections=tuple(reasons),
                 )
+            )
     matches.sort(key=lambda m: (not m.is_full, -len(m.covered_tags), len(m.residual_conditions)))
     found.sort(key=lambda r: (not r.matched, r.element_id))
     if reports is not None:

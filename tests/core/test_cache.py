@@ -1,8 +1,10 @@
 """Tests for cache storage, uses, and replacement."""
 
+import dataclasses
+
 import pytest
 
-from repro.common.errors import CacheCapacityError, CacheError
+from repro.common.errors import CacheCapacityError, CacheError, InvariantViolation
 from repro.relational.generator import generator_from_rows
 from repro.relational.relation import Relation
 from repro.caql.parser import parse_query
@@ -182,6 +184,120 @@ class TestEviction:
         cache.clear()
         assert len(cache) == 0
         assert cache.used_bytes() == 0
+
+
+class TestCandidateIndex:
+    """The pin-keyed candidate index behind ``Cache.pinned_candidates``."""
+
+    def anchors(self, cache):
+        return {
+            anchor: list(members) for anchor, members in cache._by_anchor.items()
+        }
+
+    def test_store_files_each_element_under_its_first_pin(self):
+        cache = Cache()
+        pinned = store(cache, "d1(X) :- b1(X, c1), b2(X, c2)")
+        ranged = store(cache, "d2(X) :- b1(X, Z), Z >= 3, Z =< 3")
+        free = store(cache, "d3(X, Y) :- b2(X, Y), b1(Y, X)")
+        assert cache._probe[pinned.element_id].pins == (("b1", 1, "c1"), ("b2", 1, "c2"))
+        assert self.anchors(cache) == {
+            ("b1", 1, "c1"): [pinned.element_id],
+            ("b1", 1, 3): [ranged.element_id],
+            ("", "b2"): [free.element_id],
+        }
+        cache.check_invariants()
+
+    def test_unsatisfiable_element_is_filed_without_pins(self):
+        cache = Cache()
+        element = store(cache, "d(X) :- b1(X, Z), Z = 1, Z = 2")
+        assert cache._probe[element.element_id].pins == ()
+        assert self.anchors(cache) == {("", "b1"): [element.element_id]}
+        cache.check_invariants()
+
+    def test_discard_drops_entry_and_empty_bucket(self):
+        cache = Cache()
+        e1 = store(cache, "d1(X) :- b1(X, c1)")
+        e2 = store(cache, "d2(X) :- b1(X, c2)")
+        cache.discard(e1.element_id)
+        assert self.anchors(cache) == {("b1", 1, "c2"): [e2.element_id]}
+        assert e1.element_id not in cache._probe
+        cache.check_invariants()
+
+    def test_condemned_discard_leaves_the_index(self):
+        cache = Cache()
+        element = store(cache, "d1(X) :- b1(X, c1)")
+        cache.pin(element)
+        cache.discard(element.element_id)
+        assert element.condemned
+        assert self.anchors(cache) == {}
+        assert cache._probe == {}
+        cache.check_invariants()
+        cache.unpin(element)
+        cache.check_invariants()
+
+    def test_view_promotion_refiles_under_the_views_definition(self):
+        cache = Cache()
+        inner = cache.store(
+            make_psj("i(X, Y) :- b1(X, c1), b2(Y, c2)"),
+            make_relation("i", 3),
+            kind="intermediate",
+        )
+        assert self.anchors(cache) == {("b1", 1, "c1"): [inner.element_id]}
+        view = cache.store(
+            make_psj("v(X, Y) :- b2(Y, c2), b1(X, c1)"), make_relation("v", 3)
+        )
+        assert view is inner
+        assert self.anchors(cache) == {("b2", 1, "c2"): [inner.element_id]}
+        cache.check_invariants()
+
+    def test_clear_empties_the_index(self):
+        cache = Cache()
+        store(cache, "d1(X) :- b1(X, c1)")
+        store(cache, "d2(X, Y) :- b1(X, Y)")
+        cache.clear()
+        assert cache._probe == {}
+        assert cache._by_anchor == {}
+        cache.check_invariants()
+
+    def test_invariants_catch_stale_pins(self):
+        cache = Cache()
+        element = store(cache, "d1(X) :- b1(X, c1), b2(X, c2)")
+        entry = cache._probe[element.element_id]
+        cache._probe[element.element_id] = dataclasses.replace(entry, pins=entry.pins[:1])
+        with pytest.raises(InvariantViolation, match="candidate-index entry"):
+            cache.check_invariants()
+
+    def test_invariants_catch_an_element_missing_from_its_bucket(self):
+        cache = Cache()
+        store(cache, "d0(X) :- b1(X, c0)")
+        element = store(cache, "d1(X) :- b1(X, c1)")
+        cache._by_anchor[("b1", 1, "c1")] = {}
+        with pytest.raises(InvariantViolation, match="anchor bucket"):
+            cache.check_invariants()
+        del cache._by_anchor[("b1", 1, "c1")]
+        with pytest.raises(InvariantViolation, match="anchor bucket"):
+            cache.check_invariants()
+        cache._by_anchor[("b1", 1, "c1")] = {element.element_id: None}
+        cache.check_invariants()
+
+    def test_invariants_catch_an_empty_bucket(self):
+        cache = Cache()
+        store(cache, "d1(X) :- b1(X, c1)")
+        cache._by_anchor[("b9", 0, 1)] = {}
+        with pytest.raises(InvariantViolation, match="empty anchor bucket"):
+            cache.check_invariants()
+
+    def test_invariants_catch_a_retired_element(self):
+        cache = Cache()
+        element = store(cache, "d1(X) :- b1(X, c1)")
+        entry = cache._probe[element.element_id]
+        cache.discard(element.element_id)
+        cache._by_anchor[entry.anchor] = {element.element_id: None}
+        with pytest.raises(InvariantViolation, match="retired or filed elsewhere"):
+            cache.check_invariants()
+        cache._probe[element.element_id] = entry
+        with pytest.raises(InvariantViolation, match="retired element"):
+            cache.check_invariants()
 
 
 class TestCacheElement:

@@ -4,16 +4,23 @@ Naming follows the paper's running examples where possible (E11/E12/E13,
 b2/b3, etc.).
 """
 
+import dataclasses
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.subsumption as subsumption
+from repro.relational.expressions import Col, Comparison, Lit
 from repro.relational.relation import Relation
 from repro.remote.server import RemoteDBMS
 from repro.caql.eval import evaluate_psj, psj_of, result_schema
+from repro.caql.implication import ConditionSet
 from repro.caql.parser import parse_query
 from repro.core.cache import Cache
 from repro.core.cms import CacheManagementSystem
+from repro.qa.differential import build_variant
+from repro.qa.generator import CaseConfig, CaseGenerator
 from repro.core.subsumption import (
     derive_full,
     derive_full_lazy,
@@ -318,6 +325,200 @@ class TestCandidateReports:
         find_relevant(cms.cache, make_psj(self.QUERY), reports)
         assert len(reports) >= 2
         assert explanation.candidates == tuple(reports)
+
+
+def assert_walks_agree(cache, query):
+    """The indexed walk returns exactly the exhaustive walk's matches, in
+    the same order; returns them."""
+    full = find_relevant(cache, query, [])
+    indexed = find_relevant(cache, query)
+    assert indexed == full
+    return indexed
+
+
+def pinned_ids(cache, query):
+    conditions = ConditionSet(query.conditions)
+    return [e.element_id for e in cache.pinned_candidates(query, conditions)]
+
+
+def store_empty(cache, text, **kwargs):
+    psj = make_psj(text)
+    return cache.store(psj, Relation(result_schema(psj.name, psj.arity)), **kwargs)
+
+
+class TestIndexedWalk:
+    """``find_relevant`` probes only the candidate index's survivors; the
+    ``reports`` walk probes every element sharing a predicate.  Both must
+    return the same matches in the same order."""
+
+    def test_pin_reached_through_column_equality(self):
+        cache, elements = cache_with(
+            "via(X) :- b2(X, Z), b3(Z, c2, c6), Z = 1",
+            "direct(X) :- b2(X, 1), b3(1, c2, c6)",
+            "other(X) :- b2(X, 3), b3(3, c2, c6)",
+        )
+        for text in (
+            "q(X) :- b2(X, 1), b3(1, c2, c6)",
+            "q(X) :- b2(X, Z), b3(Z, c2, c6), Z = 1",
+        ):
+            matches = assert_walks_agree(cache, make_psj(text))
+            matched = {m.element.element_id for m in matches if m.is_full}
+            assert matched == {elements[0].element_id, elements[1].element_id}
+
+    def test_closed_range_pins(self):
+        cache, elements = cache_with(
+            "ranged(X) :- b2(X, Z), Z >= 2, Z =< 2",
+            "pinned(X) :- b2(X, 3)",
+        )
+        matches = assert_walks_agree(cache, make_psj("q(X) :- b2(X, 2)"))
+        assert [m.element.element_id for m in matches] == [elements[0].element_id]
+        query = make_psj("q(X) :- b2(X, Z), Z >= 3, Z =< 3")
+        matches = assert_walks_agree(cache, query)
+        assert [m.element.element_id for m in matches] == [elements[1].element_id]
+
+    def test_equal_constants_of_different_types_share_a_pin(self):
+        cache, (element,) = cache_with("one(X) :- b2(X, 1)")
+        as_float = make_psj("q(X) :- b2(X, 1.0)")
+        as_bool = dataclasses.replace(
+            as_float, conditions=(Comparison(Col("t0.c1"), "=", Lit(True)),)
+        )
+        for query in (as_float, as_bool):
+            matches = assert_walks_agree(cache, query)
+            assert [m.element for m in matches if m.is_full] == [element]
+        assert assert_walks_agree(cache, make_psj("q(X) :- b2(X, 2)")) == []
+
+    def test_unsatisfiable_query_walks_every_predicate_candidate(self):
+        # An unsatisfiable query implies every element condition, so even
+        # an element pinning a constant the query never names matches.
+        cache, (element,) = cache_with("seven(X, Z) :- b2(X, Z), Z = 7")
+        matches = assert_walks_agree(cache, make_psj("q(X) :- b2(X, Z), Z > 3, Z < 1"))
+        assert [m.element for m in matches] == [element]
+
+    def test_unsatisfiable_element_has_no_pins(self):
+        cache, (element,) = cache_with("never(X) :- b2(X, Z), Z = 1, Z = 2")
+        query = make_psj("q(X) :- b2(X, 3)")
+        assert pinned_ids(cache, query) == [element.element_id]
+        assert assert_walks_agree(cache, query) == []
+        matches = assert_walks_agree(cache, make_psj("q(X) :- b2(X, Z), Z > 3, Z < 1"))
+        assert [m.element for m in matches] == [element]
+
+    def test_self_joins(self):
+        cache, elements = cache_with(
+            "path(X, Y) :- b2(X, Z), b2(Z, Y)",
+            "hop(X) :- b2(X, Z), b2(Z, 2)",
+            "hop3(X) :- b2(X, Z), b2(Z, W), b2(W, 2)",
+            "scan(X, Z) :- b2(X, Z)",
+        )
+        query = make_psj("q(X) :- b2(X, Z), b2(Z, 2)")
+        # Three occurrences cannot map injectively onto two.
+        assert elements[2].element_id not in pinned_ids(cache, query)
+        matches = assert_walks_agree(cache, query)
+        assert {m.element.element_id for m in matches} == {
+            elements[0].element_id,
+            elements[1].element_id,
+            elements[3].element_id,
+        }
+
+    def test_promoted_intermediate_is_reindexed(self):
+        cache = Cache()
+        inner = store_empty(
+            cache, "i(X, Y) :- b2(X, c1), b3(Y, c2, c6)", kind="intermediate"
+        )
+        view = store_empty(cache, "v(X, Y) :- b3(Y, c2, c6), b2(X, c1)")
+        assert view is inner and view.kind == "view"
+        cache.check_invariants()
+        for text in (
+            "q(X, Y) :- b2(X, c1), b3(Y, c2, c6)",
+            "q(Y, X) :- b3(Y, c2, c6), b2(X, c1)",
+            "q(X) :- b2(X, c1), b3(1, c2, c6)",
+        ):
+            assert assert_walks_agree(cache, make_psj(text))
+
+    def test_order_follows_query_predicates_then_store_order(self):
+        cache, elements = cache_with(
+            "late3(Y) :- b3(Y, c2, c6)",
+            "late2(X) :- b2(X, 1)",
+            "both(X, Y) :- b2(X, 1), b3(Y, c2, c6)",
+            "scan3(X, Y, Z) :- b3(X, Y, Z)",
+        )
+        query = make_psj("q(X, Y) :- b2(X, 1), b3(Y, c2, c6)")
+        ids = [e.element_id for e in elements]
+        assert pinned_ids(cache, query) == [ids[1], ids[2], ids[0], ids[3]]
+        assert_walks_agree(cache, query)
+
+    def test_churned_cache(self):
+        # Evictions and discards of pinned (condemned) elements must leave
+        # the index agreeing with the predicate walk.
+        texts = [f"d{i}(X) :- b2(X, {i % 4})" for i in range(8)]
+        texts += [f"s{i}(X, Y) :- b3(X, c{2 + i % 2}, Y)" for i in range(4)]
+        texts += ["j(X, Y) :- b2(X, Z), b3(Z, c2, Y)", "w(X, Z) :- b2(X, Z)"]
+        queries = [make_psj(f"q(X) :- b2(X, {i})") for i in range(4)]
+        queries += [
+            make_psj("q(X, Y) :- b2(X, 0), b3(0, c2, Y)"),
+            make_psj("q(Y) :- b3(1, c3, Y)"),
+        ]
+        cache = Cache(capacity_bytes=900)
+        held = []
+        for step, text in enumerate(texts):
+            psj = make_psj(text)
+            element = cache.store(psj, evaluate_psj(psj, DB.__getitem__))
+            if step % 5 == 0:
+                cache.pin(element)
+                held.append(element)
+            if step % 3 == 2:
+                victim = held[0] if held else element
+                cache.discard(victim.element_id)
+            cache.check_invariants()
+            for query in queries:
+                assert_walks_agree(cache, query)
+        assert cache.eviction_count > 0
+        assert cache.condemned_elements()
+        for element in held:
+            cache.unpin(element)
+        cache.check_invariants()
+
+    def test_probe_count_stays_flat_as_the_cache_grows(self, monkeypatch):
+        # Count match_element calls (the walk looks it up through the
+        # module global) for a pinned genealogy-style query while the cache
+        # fills with elements that pin other constants.
+        calls = []
+        original = subsumption.match_element
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].element_id)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(subsumption, "match_element", counted)
+        query = make_psj("q(X) :- parent(X, p0), male(X)")
+        cache = Cache()
+        store_empty(cache, "f(X) :- parent(X, p0), male(X)")
+        store_empty(cache, "people(X, Y) :- parent(X, Y)")
+        probes = []
+        for size in (10, 100, 1000):
+            while len(cache) < size:
+                n = len(cache)
+                store_empty(cache, f"f{n}(X) :- parent(X, p{n}), male(X)")
+            calls.clear()
+            matches = find_relevant(cache, query)
+            probes.append(len(calls))
+            assert {m.element.view_name for m in matches} == {"f", "people"}
+        assert probes == [2, 2, 2]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["churny", "variants"]))
+def test_indexed_walk_agrees_on_generated_sessions(index, profile):
+    """Over fuzz-generated query sessions, after every query the indexed
+    walk returns the exhaustive walk's matches for every query of the case."""
+    case = CaseGenerator(7, getattr(CaseConfig, profile)()).generate(index)
+    cms = build_variant(case, "full")
+    queries = case.parsed_queries()
+    psjs = [psj_of(query) for query in queries]
+    for query in queries:
+        cms.query(query).fetch_all()
+        cms.cache.check_invariants()
+        for psj in psjs:
+            assert_walks_agree(cms.cache, psj)
 
 
 class TestLazyDerivation:
